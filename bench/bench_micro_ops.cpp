@@ -191,7 +191,7 @@ BENCHMARK(BM_Q8DecodeRow)->Arg(4096)->Arg(65536);
 void BM_Q8DecodeMatmul(benchmark::State& state) {
   // decode(q8 weight) + mm_add at the quant forward's MP shape:
   // x(n x 64) · W(64 x 64), weight decoded into scratch per call exactly as
-  // FrozenModel::forward_quant does.
+  // the relaxed (quantized) FrozenModel forward does.
   const std::int64_t n = state.range(0), kDim = 64, m = 64;
   util::Rng rng(8);
   auto w = ag::Tensor::randn({kDim, m}, rng, ag::Dtype::f32);

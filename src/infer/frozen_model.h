@@ -1,15 +1,16 @@
-// Frozen-model forward pass for DGCNN / AM-DGCNN (DESIGN.md §2.4).
+// Frozen-model forward pass for DGCNN / AM-DGCNN (DESIGN.md §2.4, §2.7).
 //
 // A FrozenModel snapshots the parameters of a trained LinkGNN (shared
-// storage, no copies) and evaluates the exact training forward pass —
-// message passing (GCN or edge-attribute GAT) → tanh → column concat →
-// SortPooling → conv1d/maxpool read-out → MLP — without constructing a
-// single autograd node: every activation is a raw slice of a caller-provided
-// Arena, and all order-sensitive math runs through the same fwd_kernels.h
-// instantiations the autograd ops use.  The contract, asserted by
-// tests/test_infer.cpp and the inference bench, is that the logits are
-// BIT-IDENTICAL to `model.forward(sample, rng)` in eval mode, for both model
-// kinds and both storage dtypes.
+// storage, no copies) and evaluates the training forward pass — message
+// passing (GCN or edge-attribute GAT) → tanh → column concat → SortPooling →
+// conv1d/maxpool read-out → MLP — without constructing a single autograd
+// node: every activation is a raw slice of a caller-provided Arena.  The
+// stage sequence is written once and instantiated under one of two numerics
+// policies: Exact<T> runs the same fwd_kernels.h instantiations the autograd
+// ops use, so its logits are BIT-IDENTICAL to `model.forward(sample, rng)` in
+// eval mode for both model kinds and both storage dtypes (asserted by
+// tests/test_infer.cpp and the inference bench); Relaxed decodes quantized
+// weights into arena scratch and runs the *_relaxed kernels.
 //
 // Parameters are recovered positionally from Module::parameters(), whose
 // order is fully determined by the ModelConfig (the same contract the
@@ -34,19 +35,21 @@ class FrozenModel {
   /// model may be dropped afterwards; tensor handles keep the weights alive.
   /// Throws std::runtime_error if the parameter list does not match the
   /// model's config (count, per-tensor shape, dtype).
-  explicit FrozenModel(const models::LinkGNN& model);
-
-  /// Quantize-on-freeze (DESIGN.md §2.7): validate exactly like the exact
-  /// ctor, then re-encode every weight under `scheme` and RELEASE the f32/
-  /// f64 originals, so the resident footprint is the quantized payload.
-  /// With Scheme::kNone this is the exact ctor.  Quantized forwards decode
-  /// each tensor into arena scratch per query (inside mark/rewind scopes)
-  /// and run the relaxed-numerics kernels: outputs are deterministic per
-  /// scheme for any worker count, but NOT bit-identical to the f32 path.
-  FrozenModel(const models::LinkGNN& model, ag::quant::Scheme scheme);
+  ///
+  /// With a quantization `scheme` (DESIGN.md §2.7) every validated weight is
+  /// re-encoded and the f32/f64 original RELEASED, so the resident footprint
+  /// is the quantized payload.  Quantized forwards decode each tensor into
+  /// arena scratch per query (inside mark/rewind scopes) and run the
+  /// relaxed-numerics kernels: outputs are deterministic per scheme for any
+  /// worker count, but NOT bit-identical to the f32 path.
+  explicit FrozenModel(const models::LinkGNN& model,
+                       ag::quant::Scheme scheme = ag::quant::Scheme::kNone);
 
   /// Eval-mode logits for one sample, widened to double into
-  /// `out[num_classes]`.  Bit-identical to the training forward pass.
+  /// `out[num_classes]`.  Unquantized, bit-identical to the training
+  /// forward pass.  Throws std::invalid_argument if the sample's shapes
+  /// disagree with the model or an edge endpoint lies outside
+  /// [0, num_nodes).
   void forward_logits(const seal::SubgraphSample& sample, Arena& arena,
                       double* out) const;
 
@@ -73,45 +76,45 @@ class FrozenModel {
   std::size_t weight_bytes() const { return weight_bytes_; }
 
  private:
+  /// One frozen parameter: the exact tensor, or — after quantize-on-freeze —
+  /// only its quantized encoding (the exact handle is released).
+  struct Weight {
+    ag::Tensor exact;
+    ag::quant::QuantizedTensor quant;
+  };
+
   struct MpLayer {
-    ag::Tensor weight, bias;
-    ag::Tensor a_src, a_dst, edge_weight, a_edge;  // GAT only
+    Weight weight, bias;
+    Weight a_src, a_dst, edge_weight, a_edge;  // GAT only
     std::int64_t in = 0;
     std::int64_t out = 0;    // output width (H*F for GAT)
     std::int64_t heads = 1;  // GAT only
   };
 
-  /// Quantized mirror of MpLayer; active when quant_ != kNone (the
-  /// ag::Tensor handles above are released so the originals can die).
-  struct QuantMpLayer {
-    ag::quant::QuantizedTensor weight, bias;
-    ag::quant::QuantizedTensor a_src, a_dst, edge_weight, a_edge;
-  };
-
+  // Numerics policies of the one stage sequence (defined in the .cpp).
   template <typename T>
+  struct Exact;
+  struct Relaxed;
+
+  template <typename N>
   void run(const seal::SubgraphSample& sample, Arena& arena, bool proba,
            double* out) const;
-  template <typename T>
-  const T* forward_impl(const seal::SubgraphSample& sample,
-                        Arena& arena) const;
-  /// f32-compute forward over quantized weights (decode-to-arena-scratch,
-  /// relaxed-numerics kernels).  See the .cpp for the numerics contract.
-  const float* forward_quant(const seal::SubgraphSample& sample,
-                             Arena& arena) const;
+  void dispatch(const seal::SubgraphSample& sample, Arena& arena, bool proba,
+                double* out) const;
+  template <typename N>
+  const typename N::T* forward(const seal::SubgraphSample& sample,
+                               Arena& arena) const;
 
   models::ModelConfig config_;
   std::int64_t edge_dim_ = 0;         // 0 = attention ignores edge attrs
   std::int64_t total_channels_ = 0;   // columns entering SortPooling
   std::int64_t conv_out_len_ = 0;     // length after the conv read-out
   std::vector<MpLayer> mp_;
-  ag::Tensor conv1_w_, conv1_b_, conv2_w_, conv2_b_;
-  ag::Tensor fc1_w_, fc1_b_, fc2_w_, fc2_b_;
+  Weight conv1_w_, conv1_b_, conv2_w_, conv2_b_;
+  Weight fc1_w_, fc1_b_, fc2_w_, fc2_b_;
 
   ag::quant::Scheme quant_ = ag::quant::Scheme::kNone;
   std::size_t weight_bytes_ = 0;
-  std::vector<QuantMpLayer> qmp_;
-  ag::quant::QuantizedTensor qconv1_w_, qconv1_b_, qconv2_w_, qconv2_b_;
-  ag::quant::QuantizedTensor qfc1_w_, qfc1_b_, qfc2_w_, qfc2_b_;
 };
 
 }  // namespace amdgcnn::infer

@@ -13,6 +13,9 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -348,6 +351,233 @@ TEST(QuantizedForward, PredictLinksDeterministicAcrossWorkerCounts) {
     options.quantize = ag::quant::Scheme::kNone;
     core::LinkPredictor exact(clf.model(), options);
     EXPECT_LT(serial.weight_bytes(), exact.weight_bytes());
+  }
+}
+
+// ---- golden logits ----------------------------------------------------------
+
+/// Seeded random sample: `n` nodes with 4-wide features in [-1, 1), `e`
+/// directed non-self-loop edges with 2-wide attributes.
+seal::SubgraphSample random_sample(std::int64_t n, std::int64_t e,
+                                   std::uint64_t seed, ag::Dtype dtype) {
+  util::Rng rng(seed);
+  seal::SubgraphSample s;
+  s.num_nodes = n;
+  std::vector<double> feat(static_cast<std::size_t>(n * 4));
+  for (auto& v : feat) v = rng.uniform(-1.0, 1.0);
+  s.node_feat =
+      ag::ops::cast(ag::Tensor::from_data({n, 4}, std::move(feat)), dtype);
+  std::vector<double> ea;
+  for (std::int64_t i = 0; i < e; ++i) {
+    const std::int64_t a = rng.uniform_int(std::int64_t{0}, n - 1);
+    std::int64_t b = rng.uniform_int(std::int64_t{0}, n - 2);
+    if (b >= a) ++b;
+    s.src.push_back(a);
+    s.dst.push_back(b);
+    ea.push_back(rng.uniform());
+    ea.push_back(rng.uniform(-1.0, 1.0));
+  }
+  s.edge_attr =
+      ag::ops::cast(ag::Tensor::from_data({e, 2}, std::move(ea)), dtype);
+  return s;
+}
+
+/// Shift every parameter by seeded noise so biases are non-zero and the
+/// logits depend on every weight tensor.
+void perturb_parameters(const models::LinkGNN& model) {
+  util::Rng rng(41);
+  for (ag::Tensor p : model.parameters()) {
+    if (p.dtype() == ag::Dtype::f64)
+      for (double& v : p.data_as<double>()) v += rng.uniform(-0.3, 0.3);
+    else
+      for (float& v : p.data_as<float>())
+        v += static_cast<float>(rng.uniform(-0.3, 0.3));
+  }
+}
+
+std::string hex_bits(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(u));
+  return buf;
+}
+
+/// Whether the compiler may fuse a*b+c into one rounding.  Contraction moves
+/// the last bits of every logit, so the fixture keeps one row set per
+/// setting: "fma" for the Release tree (-O3 -march=native on an FMA host),
+/// "nofma" for builds without -march (the sanitizer tree).
+constexpr const char* kFmaTag =
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+    "fma";
+#else
+    "nofma";
+#endif
+
+TEST(GoldenLogits, MatchFixtureBitForBit) {
+  // tests/data/golden_logits.txt holds one line per (FMA tag, model, scheme,
+  // sample): the IEEE-754 bit patterns of the f64 logits forward_logits
+  // writes.  A mismatch prints the actual line; only an intended numerics
+  // change may replace fixture lines with them.
+  std::ifstream in(std::string(AMDGCNN_TEST_DATA_DIR) + "/golden_logits.txt");
+  ASSERT_TRUE(in.good()) << "missing tests/data/golden_logits.txt";
+  std::map<std::string, std::string> expected;  // "model scheme sample" -> line
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string tag, model, scheme, sample;
+    fields >> tag >> model >> scheme >> sample;
+    if (tag == kFmaTag) expected[model + " " + scheme + " " + sample] = line;
+  }
+  ASSERT_FALSE(expected.empty()) << "no fixture rows for tag " << kFmaTag;
+
+  struct Kind {
+    const char* name;
+    models::GnnKind kind;
+    bool edge_attr;
+  };
+  struct Sample {
+    const char* name;
+    std::int64_t n, e;
+    std::uint64_t seed;
+  };
+  const Kind kinds[] = {{"am-dgcnn+ea", models::GnnKind::kAMDGCNN, true},
+                        {"am-dgcnn", models::GnnKind::kAMDGCNN, false},
+                        {"vanilla", models::GnnKind::kVanillaDGCNN, true}};
+  // sort_k is 10: below, at and above it, plus a sample with no edges.
+  const Sample samples[] = {{"n5", 5, 12, 101},
+                            {"n10", 10, 20, 102},
+                            {"n23", 23, 60, 103},
+                            {"n3-noedge", 3, 0, 104}};
+
+  std::size_t checked = 0;
+  for (const Kind& k : kinds) {
+    std::unique_ptr<models::LinkGNN> models_by_dtype[2];
+    for (int i = 0; i < 2; ++i) {
+      auto cfg = small_config(k.kind, i == 0 ? ag::Dtype::f64 : ag::Dtype::f32);
+      cfg.use_edge_attr = k.edge_attr;
+      util::Rng rng(31);
+      models_by_dtype[i] = models::make_link_gnn(cfg, rng);
+      perturb_parameters(*models_by_dtype[i]);
+    }
+    const struct {
+      const char* name;
+      const models::LinkGNN& model;
+      ag::quant::Scheme scheme;
+    } schemes[] = {{"f64", *models_by_dtype[0], ag::quant::Scheme::kNone},
+                   {"f32", *models_by_dtype[1], ag::quant::Scheme::kNone},
+                   {"f16", *models_by_dtype[1], ag::quant::Scheme::kF16},
+                   {"q8", *models_by_dtype[1], ag::quant::Scheme::kQ8}};
+    for (const auto& sc : schemes) {
+      const infer::FrozenModel frozen(sc.model, sc.scheme);
+      infer::Arena arena;
+      for (const Sample& smp : samples) {
+        const auto s =
+            random_sample(smp.n, smp.e, smp.seed, sc.model.config().dtype);
+        double logits[2];
+        frozen.forward_logits(s, arena, logits);
+        const std::string key =
+            std::string(k.name) + " " + sc.name + " " + smp.name;
+        const std::string actual = std::string(kFmaTag) + " " + key + " " +
+                                   hex_bits(logits[0]) + " " +
+                                   hex_bits(logits[1]);
+        const auto it = expected.find(key);
+        if (it == expected.end() || it->second != actual)
+          ADD_FAILURE() << "golden logits differ\n  expected: "
+                        << (it == expected.end() ? "<no row>" : it->second)
+                        << "\n  actual:   " << actual;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, expected.size()) << "fixture rows without a case";
+}
+
+TEST(FrozenForwardErrors, EveryInputCheckThrowsUnderEveryScheme) {
+  // One malformed sample per input check of the forward.  Each must throw
+  // the same error under every numerics policy, before any kernel reads the
+  // sample, and leave the arena usable for the next query.
+  struct Case {
+    const char* name;
+    void (*mutate)(seal::SubgraphSample&);
+    const char* message;
+  };
+  const char* kFeat = "FrozenModel: sample node_feat is not [num_nodes, F]";
+  const char* kEdge = "FrozenModel: edge endpoint outside [0, num_nodes)";
+  const char* kAttr = "FrozenModel: edge attribute shape mismatch";
+  const Case cases[] = {
+      {"node_feat undefined",
+       [](seal::SubgraphSample& s) { s.node_feat = ag::Tensor(); }, kFeat},
+      {"node_feat rank 1",
+       [](seal::SubgraphSample& s) {
+         s.node_feat = ag::Tensor::zeros({s.num_nodes * 4}, s.node_feat.dtype());
+       },
+       kFeat},
+      {"fewer node_feat rows than num_nodes",
+       [](seal::SubgraphSample& s) {
+         s.node_feat =
+             ag::Tensor::zeros({s.num_nodes - 1, 4}, s.node_feat.dtype());
+       },
+       kFeat},
+      {"feature width",
+       [](seal::SubgraphSample& s) {
+         s.node_feat = ag::Tensor::zeros({s.num_nodes, 5}, s.node_feat.dtype());
+       },
+       "FrozenModel: sample feature width mismatch"},
+      {"src/dst sizes differ",
+       [](seal::SubgraphSample& s) { s.dst.pop_back(); },
+       "FrozenModel: edge array size mismatch"},
+      {"src == num_nodes",
+       [](seal::SubgraphSample& s) { s.src[0] = s.num_nodes; }, kEdge},
+      {"negative dst", [](seal::SubgraphSample& s) { s.dst.back() = -1; },
+       kEdge},
+      {"edge_attr rows",
+       [](seal::SubgraphSample& s) {
+         s.edge_attr = ag::Tensor::zeros(
+             {static_cast<std::int64_t>(s.src.size()) - 1, 2},
+             s.edge_attr.dtype());
+       },
+       kAttr},
+      {"edge_attr undefined",
+       [](seal::SubgraphSample& s) { s.edge_attr = ag::Tensor(); }, kAttr},
+  };
+
+  for (const ag::Dtype dtype : {ag::Dtype::f64, ag::Dtype::f32}) {
+    util::Rng rng(32);
+    auto model = models::make_link_gnn(
+        small_config(models::GnnKind::kAMDGCNN, dtype), rng);
+    std::vector<ag::quant::Scheme> schemes = {ag::quant::Scheme::kNone};
+    if (dtype == ag::Dtype::f32)
+      schemes.insert(schemes.end(),
+                     {ag::quant::Scheme::kF16, ag::quant::Scheme::kQ8});
+    for (const auto scheme : schemes) {
+      const infer::FrozenModel frozen(*model, scheme);
+      const std::string mode = scheme == ag::quant::Scheme::kNone
+                                   ? ag::dtype_name(dtype)
+                                   : ag::quant::scheme_name(scheme);
+      const auto valid = random_sample(6, 10, 7, dtype);
+      infer::Arena fresh, arena;
+      double ref[2], out[2];
+      frozen.forward_logits(valid, fresh, ref);
+      for (const Case& c : cases) {
+        auto s = valid;
+        c.mutate(s);
+        for (const bool proba : {false, true}) {
+          try {
+            if (proba)
+              frozen.predict_proba(s, arena, out);
+            else
+              frozen.forward_logits(s, arena, out);
+            ADD_FAILURE() << mode << " " << c.name << ": no error";
+          } catch (const std::invalid_argument& e) {
+            EXPECT_STREQ(e.what(), c.message) << mode << " " << c.name;
+          }
+        }
+      }
+      frozen.forward_logits(valid, arena, out);
+      EXPECT_EQ(0, std::memcmp(out, ref, sizeof(ref))) << mode;
+    }
   }
 }
 
