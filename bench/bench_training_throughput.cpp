@@ -3,16 +3,17 @@
 // Trains both models (AM-DGCNN, Vanilla-DGCNN) on the Cora and WordNet
 // simulators and reports end-to-end samples/sec for
 //   * the legacy serial trainer path   (num_threads = 0),
-//   * the deterministic parallel path with 1 worker, and
-//   * the parallel path with all hardware workers (when OpenMP is present);
-// the two parallel rows must produce bit-identical losses — the benchmark
-// asserts this.  Alongside, it times the three dominant primitives
-// (matmul forward+backward, segment_softmax, scatter_add_rows) in µs/op and
-// records buffer-pool statistics (peak bytes, hit rate).
+//   * the deterministic parallel path with 1, 2 and 4 workers (capped at
+//     the CPU count, seal::default_build_threads());
+// every parallel row must produce the bit-identical loss of the 1-worker
+// row — the benchmark asserts this.  Alongside, it times the three dominant
+// primitives (matmul forward+backward, segment_softmax, scatter_add_rows) in
+// µs/op and records buffer-pool statistics (peak bytes, hit rate).
 //
 // Output goes to stdout as a table and to a JSON file (default
 // BENCH_training.json in the current directory; override with --out PATH).
 // --smoke shrinks everything so the binary doubles as a CTest smoke test.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,10 +23,6 @@
 #include <tuple>
 #include <utility>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bench_common.h"
 #include "models/trainer.h"
@@ -289,10 +286,12 @@ int main(int argc, char** argv) {
   const int epochs = smoke ? 1 : 5;
   const int micro_iters = smoke ? 50 : 2000;
 
-  int max_threads = 1;
-#ifdef _OPENMP
-  max_threads = omp_get_max_threads();
-#endif
+  const auto max_threads = static_cast<int>(seal::default_build_threads());
+  std::vector<int> thread_counts;
+  for (const int t : {1, 2, 4})
+    if (const int c = std::min(t, max_threads);
+        thread_counts.empty() || c > thread_counts.back())
+      thread_counts.push_back(c);
 
   std::vector<datasets::LinkDataset> data;
   {
@@ -350,16 +349,10 @@ int main(int argc, char** argv) {
         mc.dtype = dt;
         mr.runs.push_back(dt == ag::Dtype::f64 ? serial64 : serial32);
         const std::size_t one_thread_row = mr.runs.size();
-        {
+        for (const int nt : thread_counts) {
           util::Rng rng(17);
           auto model = models::make_link_gnn(mc, rng);
-          mr.runs.push_back(time_training(*model, ds_dt, 1, epochs, dt));
-        }
-        if (max_threads > 1) {
-          util::Rng rng(17);
-          auto model = models::make_link_gnn(mc, rng);
-          mr.runs.push_back(
-              time_training(*model, ds_dt, max_threads, epochs, dt));
+          mr.runs.push_back(time_training(*model, ds_dt, nt, epochs, dt));
           // Determinism contract, per dtype: 1 worker and N workers must
           // agree bit-for-bit.
           if (mr.runs.back().final_loss !=
@@ -368,7 +361,7 @@ int main(int argc, char** argv) {
                          "FATAL: parallel trainer is not deterministic at %s "
                          "(1-thread loss %.17g vs %d-thread loss %.17g)\n",
                          ag::dtype_name(dt),
-                         mr.runs[one_thread_row].final_loss, max_threads,
+                         mr.runs[one_thread_row].final_loss, nt,
                          mr.runs.back().final_loss);
             return 1;
           }

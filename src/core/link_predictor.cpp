@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "metrics/classification.h"
-#include "util/parallel_error.h"
+#include "util/worker_pool.h"
 
 namespace amdgcnn::core {
 
@@ -61,24 +61,14 @@ void LinkPredictor::predict_links_cold(
     // its pre-sized slot and depends only on its link — extraction scratch
     // comes from thread-local pools, activations from the worker's own
     // thread-local arena — so the batch is bit-identical for any worker
-    // count.  Exceptions cannot cross the OpenMP region; the failure of the
-    // lowest link index is rethrown after the join with stage context.
-    [[maybe_unused]] const int nt =
-        static_cast<int>(options_.dataset.num_threads);
-    util::WorkerErrorCollector error;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
-#endif
-    for (std::int64_t i = 0; i < n; ++i) {
-      try {
-        const auto sample = seal::make_sample(g, links[i], options_.dataset);
-        frozen_.predict_proba(sample, tls_arena(),
-                              result.proba.data() + i * c);
-      } catch (...) {
-        error.capture(i);
-      }
-    }
-    error.rethrow("predict_links");
+    // count.  The failure of the lowest link index is rethrown after the
+    // join with stage context.
+    util::parallel_for(
+        "predict_links", n, options_.dataset.num_threads, [&](std::int64_t i) {
+          const auto sample = seal::make_sample(g, links[i], options_.dataset);
+          frozen_.predict_proba(sample, tls_arena(),
+                                result.proba.data() + i * c);
+        });
   }
 }
 
@@ -130,7 +120,7 @@ void LinkPredictor::predict_links_cached(
   if (miss.empty()) return;
 
   // Phase 2: score the misses with the cold pipeline (serial or the
-  // deterministic OpenMP path), keeping each extraction's hull around.
+  // deterministic parallel path), keeping each extraction's hull around.
   const auto m = static_cast<std::int64_t>(miss.size());
   std::vector<std::vector<graph::NodeId>> hulls(miss.size());
   auto extract_opts = options_.dataset.extract;
@@ -148,20 +138,9 @@ void LinkPredictor::predict_links_cached(
   if (options_.dataset.num_threads == 0) {
     for (std::int64_t k = 0; k < m; ++k) score_one(k, arena_);
   } else {
-    [[maybe_unused]] const int nt =
-        static_cast<int>(options_.dataset.num_threads);
-    util::WorkerErrorCollector error;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
-#endif
-    for (std::int64_t k = 0; k < m; ++k) {
-      try {
-        score_one(k, tls_arena());
-      } catch (...) {
-        error.capture(k);
-      }
-    }
-    error.rethrow("predict_links(cached)");
+    util::parallel_for("predict_links(cached)", m,
+                       options_.dataset.num_threads,
+                       [&](std::int64_t k) { score_one(k, tls_arena()); });
   }
 
   // Phase 3 (serial, after the join): admit the fresh entries.  Wipe-on-full

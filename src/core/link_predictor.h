@@ -6,7 +6,7 @@
 // runs all four stages back to back on one worker (the sample tensors are
 // still cache-hot when the forward reads them, and nothing is materialised
 // batch-wide), and links are independent, so the batch parallelises with the
-// same deterministic OpenMP pattern as seal::build_samples: probabilities
+// same deterministic util::parallel_for pattern as seal::build_samples: probabilities
 // are bit-identical for ANY worker count, including the serial path.
 #pragma once
 
@@ -32,7 +32,8 @@ class LinkPredictor {
   struct Options {
     /// Extraction / DRNL / feature options plus the worker count, exactly as
     /// used to build the training dataset (the features MUST match what the
-    /// model was trained on).  num_threads: 0 = serial, >= 1 = OpenMP.
+    /// model was trained on).  num_threads: 0 = serial, >= 1 = up to that
+    /// many util::parallel_for workers.
     seal::SealDatasetOptions dataset;
     /// Warm-up hints: when > 0, the constructor runs one synthetic forward
     /// of this size so the serial arena is right-sized before the first real

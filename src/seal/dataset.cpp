@@ -2,11 +2,7 @@
 
 #include <stdexcept>
 
-#include "util/parallel_error.h"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "util/worker_pool.h"
 
 namespace amdgcnn::seal {
 
@@ -19,13 +15,7 @@ double SealDataset::mean_subgraph_nodes() const {
   return sum / static_cast<double>(total);
 }
 
-std::int64_t default_build_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
+std::int64_t default_build_threads() { return util::cpu_count(); }
 
 SubgraphSample make_sample(const graph::KnowledgeGraph& g,
                            const LinkExample& link,
@@ -54,22 +44,12 @@ std::vector<SubgraphSample> build_samples(
   // slot and depends only on its link, so the result is bit-identical for any
   // worker count.  Per-worker BFS scratch lives in thread-local pools inside
   // extract_enclosing_subgraph; feature tensors allocate from each worker's
-  // own tensor pool.  Exceptions cannot cross the OpenMP region; the failure
-  // of the lowest link index is rethrown after the join with stage context
-  // (util::WorkerError), deterministically for any worker count.
-  [[maybe_unused]] const int nt = static_cast<int>(options.num_threads);
-  util::WorkerErrorCollector error;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
-    try {
-      out[i] = make_sample(g, links[i], options);
-    } catch (...) {
-      error.capture(i);
-    }
-  }
-  error.rethrow("build_samples");
+  // own tensor pool.  The failure of the lowest link index is rethrown after
+  // the join with stage context (util::WorkerError).
+  util::parallel_for("build_samples", n, options.num_threads,
+                     [&](std::int64_t i) {
+                       out[i] = make_sample(g, links[i], options);
+                     });
   return out;
 }
 

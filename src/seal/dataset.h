@@ -6,7 +6,7 @@
 // extraction happens in the dataset loader, not in the training loop.
 //
 // Per-link work is independent, so the build is parallelised with the same
-// deterministic OpenMP pattern as models::Trainer (DESIGN.md §2.2): every
+// deterministic util::parallel_for pattern as models::Trainer (DESIGN.md §2.2): every
 // sample is written into its pre-sized slot, each worker draws extraction
 // scratch from its own thread-local buffer pool, and no stage depends on
 // worker scheduling — the built dataset is bit-identical for ANY worker
@@ -27,11 +27,10 @@ struct SealDatasetOptions {
   graph::ExtractOptions extract;
   FeatureOptions features;
   /// Dataset-build workers (mirrors models::TrainConfig::num_threads).
-  /// 0 = the legacy serial loop; >= 1 = the OpenMP path, links distributed
-  /// dynamically over up to this many threads.  Outputs are bit-identical
-  /// (tensor bytes, labels, DRNL vectors) for every setting; negative
-  /// values are rejected.  Without OpenMP the parallel path runs serially
-  /// and produces the same bytes.
+  /// 0 = the legacy serial loop; >= 1 = util::parallel_for, links
+  /// distributed dynamically over up to this many pool workers (1 runs the
+  /// same path inline).  Outputs are bit-identical (tensor bytes, labels,
+  /// DRNL vectors) for every setting; negative values are rejected.
   std::int64_t num_threads = 0;
 };
 
@@ -46,8 +45,8 @@ struct SealDataset {
   double mean_subgraph_nodes() const;
 };
 
-/// Worker count for callers that just want "all hardware threads":
-/// omp_get_max_threads() under OpenMP, 1 otherwise.
+/// Worker count for callers that just want "all hardware threads": the CPU
+/// count of the process's affinity mask (util::cpu_count()).
 std::int64_t default_build_threads();
 
 /// Convert one labeled link to a sample.

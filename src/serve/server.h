@@ -47,9 +47,13 @@
 #include <vector>
 
 #include "core/link_predictor.h"
-#include "serve/worker_pool.h"
+#include "util/worker_pool.h"
 
 namespace amdgcnn::serve {
+
+/// Misuse of the serving runtime (submit after shutdown, invalid options)
+/// or of the pool under it: one type, whichever layer detects it.
+using ServeError = util::PoolError;
 
 struct ServerOptions {
   /// Pool threads scoring cache misses.  Results are bit-identical for any
@@ -130,7 +134,7 @@ class Server {
   const graph::KnowledgeGraph& graph_;
   ServerOptions options_;
   std::unique_ptr<Impl> impl_;
-  std::unique_ptr<WorkerPool> pool_;
+  std::unique_ptr<util::WorkerPool> pool_;
 
   mutable std::mutex queue_mu_;
   std::condition_variable not_empty_;

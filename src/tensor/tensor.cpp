@@ -40,23 +40,49 @@ std::string shape_str(const Shape& shape) {
 
 namespace detail {
 
-BufferPool& buffer_pool() {
-  // Leaked on purpose: tensors destroyed during thread/static teardown can
-  // still release into a live pool.
-  thread_local BufferPool* pool = new BufferPool();
-  return *pool;
+namespace {
+
+/// One thread's three pools, owned through a trivially destructible
+/// thread_local pointer: the pointer stays readable for the whole thread
+/// teardown, while the pools themselves go when the thread exits.
+struct ThreadPools {
+  explicit ThreadPools(bool parks) : f64(parks), i32(parks), f32(parks) {}
+  BufferPool f64;
+  BasicBufferPool<std::int32_t> i32;
+  BasicBufferPool<float> f32;
+};
+
+thread_local ThreadPools* tls_pools = nullptr;
+
+/// Shared by every thread that has already freed its own pools.
+ThreadPools& pass_through_pools() {
+  static ThreadPools* const pools = new ThreadPools(/*parks=*/false);
+  return *pools;
 }
 
-BasicBufferPool<std::int32_t>& i32_buffer_pool() {
-  thread_local BasicBufferPool<std::int32_t>* pool =
-      new BasicBufferPool<std::int32_t>();
-  return *pool;
+/// Frees the thread's pools at thread exit.  Thread-local objects built
+/// after it (first pool use) are destroyed before it and release into the
+/// live pools; ones destroyed after it find the pass-through pools.
+struct ThreadPoolsOwner {
+  ~ThreadPoolsOwner() {
+    delete tls_pools;
+    tls_pools = &pass_through_pools();
+  }
+};
+
+ThreadPools& thread_pools() {
+  if (tls_pools == nullptr) {
+    thread_local ThreadPoolsOwner owner;
+    tls_pools = new ThreadPools(/*parks=*/true);
+  }
+  return *tls_pools;
 }
 
-BasicBufferPool<float>& f32_buffer_pool() {
-  thread_local BasicBufferPool<float>* pool = new BasicBufferPool<float>();
-  return *pool;
-}
+}  // namespace
+
+BufferPool& buffer_pool() { return thread_pools().f64; }
+BasicBufferPool<std::int32_t>& i32_buffer_pool() { return thread_pools().i32; }
+BasicBufferPool<float>& f32_buffer_pool() { return thread_pools().f32; }
 
 thread_local GradSink* tls_grad_sink = nullptr;
 

@@ -22,8 +22,8 @@
 // through a thread-local BufferPool when its tape node dies, so steady-state
 // training performs almost no heap allocation.  Training code can optionally
 // redirect leaf-gradient accumulation into private per-sample buffers via
-// GradSinkScope, which is what makes the Trainer's OpenMP data-parallel
-// batch accumulation deterministic.
+// GradSinkScope, which is what makes the Trainer's data-parallel batch
+// accumulation deterministic.
 #pragma once
 
 #include <algorithm>
@@ -129,10 +129,21 @@ inline std::size_t pool_size_class(std::size_t n) {
 template <typename T>
 class BasicBufferPool {
  public:
+  /// `parks` = false makes a pass-through pool: acquire allocates, release
+  /// frees, and no state is touched, so one instance is safe to share
+  /// between threads (the stand-in for a thread's pool after it exited).
+  explicit BasicBufferPool(bool parks = true) : parks_(parks) {}
+
   /// A buffer with exactly n elements; contents are unspecified.
   std::vector<T> acquire(std::size_t n) {
     if (n == 0) return {};
     const std::size_t cls = pool_size_class(n);
+    if (!parks_) {
+      std::vector<T> buf;
+      buf.reserve(cls);
+      buf.resize(n);
+      return buf;
+    }
     auto it = buckets_.find(cls);
     if (it != buckets_.end() && !it->second.empty()) {
       std::vector<T> buf = std::move(it->second.back());
@@ -162,7 +173,7 @@ class BasicBufferPool {
   /// The bucket is the largest size class the buffer's capacity covers, so
   /// externally allocated buffers (odd capacities) are parked conservatively.
   void release(std::vector<T>&& buf) noexcept {
-    if (buf.size() == 0) return;
+    if (!parks_ || buf.size() == 0) return;
     const std::size_t cap = buf.capacity();
     // In-use accounting is by capacity on both ends: the caller may have
     // resized the buffer (BFS queues shrink) but never reallocated it, so
@@ -209,14 +220,16 @@ class BasicBufferPool {
   static constexpr std::size_t kMaxBucketBuffers = 256;
   static constexpr std::size_t kMaxPooledBytes = std::size_t{1} << 28;
 
+  const bool parks_;
   std::unordered_map<std::size_t, std::vector<std::vector<T>>> buckets_;
   PoolStats stats_;
 };
 
 using BufferPool = BasicBufferPool<double>;
 
-/// The calling thread's pool.  Never destroyed (leaked on purpose) so tensor
-/// destructors can run safely during static/thread teardown.
+/// The calling thread's pool.  Its parked buffers are freed when the thread
+/// exits; a tensor destroyed later in the thread's teardown releases into a
+/// pass-through pool instead, so late releases stay safe.
 BufferPool& buffer_pool();
 
 /// The calling thread's int32 scratch pool — BFS distance maps and frontier

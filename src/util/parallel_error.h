@@ -1,8 +1,8 @@
-// Deterministic exception funnel for OpenMP worker loops.
+// Deterministic exception funnel for parallel worker loops.
 //
-// C++ exceptions cannot cross an `#pragma omp parallel for` region, so every
-// parallel stage (dataset build, batched inference, training batches) wraps
-// its body in try/catch and rethrows after the join.  A bare
+// An exception thrown on a worker thread cannot unwind into the caller, so
+// util::WorkerPool (and with it every util::parallel_for loop) catches each
+// item's failure and rethrows after the join.  A bare
 // `if (!error) error = current_exception()` keeps whichever worker LOST the
 // race — a different exception per run when several items fail.  The
 // collector instead keeps the exception of the lowest failing iteration

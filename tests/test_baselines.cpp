@@ -10,6 +10,7 @@
 #include "baselines/wlnm.h"
 #include "heuristics/pair_features.h"
 #include "test_util.h"
+#include "util/parallel_error.h"
 
 namespace amdgcnn {
 namespace {
@@ -288,6 +289,31 @@ TEST(WlnmModel, ValidatesUsage) {
   baselines::Wlnm model(2);
   auto g = testing::path_graph(4);
   EXPECT_THROW(model.fit(g, {}), std::invalid_argument);
+}
+
+// A degenerate link (a == b) inside the parallel subgraph encoding must not
+// tear down the process: the join rethrows util::WorkerError for the LOWEST
+// failing link, with the extraction error nested.
+TEST(WlnmModel, BadLinkIsDeterministicWorkerError) {
+  auto g = testing::path_graph(12);
+  std::vector<seal::LinkExample> links;
+  for (graph::NodeId a = 0; a + 2 < 12; ++a) links.push_back({a, a + 2, a % 2});
+  links[3].b = links[3].a;  // first failure: the one that must be reported
+  links[7].b = links[7].a;
+  baselines::WlnmOptions opts;
+  opts.vertex_budget = 6;
+  opts.epochs = 1;
+  baselines::Wlnm model(2, opts);
+  try {
+    model.fit(g, links);
+    FAIL() << "expected util::WorkerError";
+  } catch (const util::WorkerError& e) {
+    EXPECT_EQ(e.item(), 3);
+    EXPECT_NE(std::string(e.what()).find("worker failed at item 3"),
+              std::string::npos)
+        << e.what();
+    EXPECT_THROW(std::rethrow_if_nested(e), std::invalid_argument);
+  }
 }
 
 }  // namespace

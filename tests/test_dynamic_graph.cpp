@@ -500,7 +500,7 @@ TEST(DynamicGraphThreads, PredictLinksBitIdenticalOverOverlayGraph) {
     for (std::int64_t nt : {1, 4}) {
       const auto predictor = fx.predictor(cache, nt);
       // Two passes so the cached variant also serves its hit path under
-      // OpenMP scheduling.
+      // parallel scheduling.
       predictor.predict_links(g, links);
       expect_proba_bitwise_equal(
           predictor.predict_links(g, links), serial,

@@ -7,9 +7,11 @@
 #include "heuristics/katz.h"
 #include "heuristics/local_scores.h"
 #include "heuristics/pagerank.h"
+#include "heuristics/pair_features.h"
 #include "heuristics/scorer.h"
 #include "heuristics/simrank.h"
 #include "test_util.h"
+#include "util/parallel_error.h"
 
 namespace amdgcnn::heuristics {
 namespace {
@@ -151,6 +153,29 @@ TEST(SimRank, StructurallyEquivalentNodesScoreHighest) {
   // Leaf-leaf similarity equals decay C (all their neighbors coincide).
   EXPECT_NEAR(sim[1 * 4 + 2], opts.decay, 1e-9);
   EXPECT_GT(sim[1 * 4 + 2], sim[0 * 4 + 1]);
+}
+
+// An out-of-range node inside the parallel feature matrix must not tear
+// down the process: the join rethrows util::WorkerError for the LOWEST
+// failing pair, with the graph's range error nested.
+TEST(PairFeatureMatrix, BadPairIsDeterministicWorkerError) {
+  auto g = testing::path_graph(6);
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+  for (int r = 0; r < 4; ++r)
+    for (graph::NodeId u = 0; u < 5; ++u) pairs.push_back({u, u + 1});
+  pairs[2].second = 40;  // first failure: the one that must be reported
+  pairs[11].first = 99;
+  try {
+    pair_feature_matrix(g, pairs);
+    FAIL() << "expected util::WorkerError";
+  } catch (const util::WorkerError& e) {
+    EXPECT_EQ(e.item(), 2);
+    EXPECT_NE(std::string(e.what()).find(
+                  "pair_feature_matrix: worker failed at item 2"),
+              std::string::npos)
+        << e.what();
+    EXPECT_THROW(std::rethrow_if_nested(e), std::invalid_argument);
+  }
 }
 
 TEST(SimRank, EnforcesSizeCap) {

@@ -115,7 +115,7 @@ TEST(ParallelDatasetBuild, DefaultBuildThreadsIsPositive) {
 }
 
 // A poisoned link (endpoint past num_nodes) inside the parallel build must
-// not tear down the process — exceptions cannot cross the OpenMP join — and
+// not tear down the process — exceptions cannot cross the worker join — and
 // must not race: the join rethrows util::WorkerError naming the stage and
 // the LOWEST failing link index with the original exception nested, the
 // same report for every worker count and schedule.

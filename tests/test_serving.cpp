@@ -31,7 +31,7 @@
 #include "seal/feature_builder.h"
 #include "serve/lru_cache.h"
 #include "serve/server.h"
-#include "serve/worker_pool.h"
+#include "util/worker_pool.h"
 #include "test_util.h"
 #include "util/parallel_error.h"
 
@@ -43,7 +43,7 @@ using testing::random_links;
 // ---- WorkerPool: fork-join correctness -------------------------------------
 
 TEST(WorkerPoolRun, EveryItemRunsOnceAndWorkerIndicesAreInRange) {
-  serve::WorkerPool pool(3);
+  util::WorkerPool pool(3);
   constexpr std::int64_t kItems = 200;
   std::vector<std::atomic<int>> runs(kItems);
   std::atomic<bool> worker_in_range{true};
@@ -57,7 +57,7 @@ TEST(WorkerPoolRun, EveryItemRunsOnceAndWorkerIndicesAreInRange) {
 }
 
 TEST(WorkerPoolRun, PoolIsReusableAcrossJobs) {
-  serve::WorkerPool pool(2);
+  util::WorkerPool pool(2);
   std::atomic<std::int64_t> total{0};
   for (int job = 0; job < 5; ++job)
     pool.run("test", 40, [&](std::int64_t, int) { total.fetch_add(1); });
@@ -65,14 +65,14 @@ TEST(WorkerPoolRun, PoolIsReusableAcrossJobs) {
 }
 
 TEST(WorkerPoolRun, EmptyJobIsANoop) {
-  serve::WorkerPool pool(2);
+  util::WorkerPool pool(2);
   pool.run("test", 0, [&](std::int64_t, int) { FAIL() << "ran an item"; });
   pool.run("test", -3, [&](std::int64_t, int) { FAIL() << "ran an item"; });
 }
 
 TEST(WorkerPoolRun, LowestFailingItemWinsForAnyWorkerCount) {
   for (const int workers : {1, 2, 4}) {
-    serve::WorkerPool pool(workers);
+    util::WorkerPool pool(workers);
     try {
       pool.run("stage", 100, [](std::int64_t item, int) {
         if (item == 13 || item == 57 || item == 91)
@@ -96,12 +96,12 @@ TEST(WorkerPoolRun, LowestFailingItemWinsForAnyWorkerCount) {
 // ---- WorkerPool: lifecycle negative paths ----------------------------------
 
 TEST(WorkerPoolLifecycle, ZeroWorkersIsRejected) {
-  EXPECT_THROW(serve::WorkerPool(0), serve::ServeError);
-  EXPECT_THROW(serve::WorkerPool(-2), serve::ServeError);
+  EXPECT_THROW(util::WorkerPool(0), serve::ServeError);
+  EXPECT_THROW(util::WorkerPool(-2), serve::ServeError);
 }
 
 TEST(WorkerPoolLifecycle, DoubleShutdownIsIdempotent) {
-  serve::WorkerPool pool(2);
+  util::WorkerPool pool(2);
   EXPECT_FALSE(pool.closed());
   pool.shutdown();
   EXPECT_TRUE(pool.closed());
@@ -110,7 +110,7 @@ TEST(WorkerPoolLifecycle, DoubleShutdownIsIdempotent) {
 }
 
 TEST(WorkerPoolLifecycle, RunAfterShutdownThrowsServeError) {
-  serve::WorkerPool pool(2);
+  util::WorkerPool pool(2);
   pool.shutdown();
   EXPECT_THROW(pool.run("test", 4, [](std::int64_t, int) {}),
                serve::ServeError);
