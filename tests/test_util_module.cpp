@@ -1,12 +1,24 @@
-// Tests for util:: (RNG, Table, Stopwatch).
+// Tests for util:: (RNG, Table, Stopwatch, parallel_for).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <climits>
+#include <filesystem>
+#include <fstream>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
+#include "util/worker_pool.h"
 
 namespace amdgcnn::util {
 namespace {
@@ -158,6 +170,135 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   ASSERT_GT(sink, 0.0);  // keep the loop observable
   EXPECT_GE(w.seconds(), t0);
   EXPECT_NEAR(w.millis(), w.seconds() * 1000.0, w.seconds() * 100.0 + 1.0);
+}
+
+// ---- parallel_for: fallback paths and the thread cap ----------------------
+
+/// Threads of this process that are running or runnable: state 'R' in
+/// /proc/self/task/*/stat (Linux).
+int running_threads() {
+  int running = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream stat(task.path() / "stat");
+    std::string line;
+    std::getline(stat, line);
+    const auto close = line.rfind(')');  // "pid (comm) state ..."
+    if (close != std::string::npos && close + 2 < line.size() &&
+        line[close + 2] == 'R')
+      ++running;
+  }
+  return running;
+}
+
+TEST(ParallelFor, ConcurrentCallerRunsInlineWithTheSameContract) {
+  // Caller A's item 0 runs caller B to completion, so B always meets a pool
+  // held by A (on a 1-CPU host both run inline anyway).
+  constexpr std::int64_t n = 64;
+  const auto fails = [](std::int64_t i) { return i == 13 || i == 50; };
+  std::vector<std::atomic<int>> runs_a(n), runs_b(n);
+  std::vector<std::thread::id> ids_b(n);
+  std::thread::id b_id;
+  std::int64_t a_item = -1, b_item = -1;
+  const auto run_b = [&] {
+    b_id = std::this_thread::get_id();
+    parallel_for("test.b", n, 0, [&](std::int64_t i) {
+      ++runs_b[i];
+      ids_b[i] = std::this_thread::get_id();
+    });
+    try {
+      parallel_for("test.b", n, 0, [&](std::int64_t i) {
+        if (fails(i)) throw std::runtime_error("bad item");
+      });
+    } catch (const WorkerError& e) {
+      b_item = e.item();
+    }
+  };
+  try {
+    parallel_for("test.a", n, 0, [&](std::int64_t i) {
+      if (i == 0) std::thread(run_b).join();
+      ++runs_a[i];
+      if (fails(i)) throw std::runtime_error("bad item");
+    });
+  } catch (const WorkerError& e) {
+    a_item = e.item();
+  }
+  EXPECT_EQ(a_item, 13);
+  EXPECT_EQ(b_item, 13);
+  for (std::int64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(runs_b[i].load(), 1) << i;
+    EXPECT_EQ(ids_b[i], b_id) << i;  // B ran inline on its own thread
+    EXPECT_LE(runs_a[i].load(), 1) << i;
+    if (i <= 13) {
+      EXPECT_EQ(runs_a[i].load(), 1) << i;
+    }
+  }
+}
+
+TEST(ParallelFor, NestedLoopRunsInlineOnTheOuterItemsThread) {
+  constexpr std::int64_t outer = 8, inner = 16;
+  std::vector<std::atomic<int>> runs(outer * inner);
+  std::vector<std::thread::id> outer_ids(outer), inner_ids(outer * inner);
+  parallel_for("test.outer", outer, 0, [&](std::int64_t o) {
+    outer_ids[o] = std::this_thread::get_id();
+    parallel_for("test.inner", inner, 0, [&](std::int64_t i) {
+      ++runs[o * inner + i];
+      inner_ids[o * inner + i] = std::this_thread::get_id();
+    });
+  });
+  for (std::int64_t k = 0; k < outer * inner; ++k) {
+    EXPECT_EQ(runs[k].load(), 1) << k;
+    EXPECT_EQ(inner_ids[k], outer_ids[k / inner]) << k;
+  }
+
+  // An inner failure surfaces as the outer WorkerError of the lowest failing
+  // outer item, with the inner WorkerError nested.
+  std::int64_t outer_item = -1, inner_item = -1;
+  try {
+    parallel_for("test.outer", outer, 0, [&](std::int64_t o) {
+      parallel_for("test.inner", inner, 0, [&](std::int64_t i) {
+        if (o >= 3 && i >= 5) throw std::runtime_error("bad item");
+      });
+    });
+  } catch (const WorkerError& e) {
+    outer_item = e.item();
+    try {
+      std::rethrow_if_nested(e);
+    } catch (const WorkerError& nested) {
+      inner_item = nested.item();
+    }
+  }
+  EXPECT_EQ(outer_item, 3);
+  EXPECT_EQ(inner_item, 5);
+}
+
+TEST(ParallelFor, AtMostNumThreadsClaimItemsOrRun) {
+  for (const int k : {1, 2}) {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    parallel_for("test.cap", 256, k, [&](std::int64_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      const std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(ids.size(), static_cast<std::size_t>(k));
+    if (k == 1) {
+      EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+    }
+  }
+
+  // Back-to-back loops capped at 2 threads, sampled midway through: the
+  // other thread taking part still sleeps in its longer item and the pool
+  // workers left out are parked, so only the sampling thread runs.  A
+  // left-out worker that polled for the next loop would show as running in
+  // every sample.
+  int fewest = INT_MAX;
+  for (int r = 0; r < 20; ++r)
+    parallel_for("test.cap", 2, 2, [&](std::int64_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(i == 0 ? 1 : 3));
+      if (i == 0) fewest = std::min(fewest, running_threads());
+    });
+  EXPECT_EQ(fewest, 1);
 }
 
 }  // namespace
